@@ -17,6 +17,7 @@ import numpy as np
 from ..core.model import Model
 from ..core.proximal import IdentityProximal, ProximalOperator
 from ..db.types import Row
+from ..kernels import igd_chunk as native_igd_chunk
 from .base import ExampleBatch, LinearModelTask, SupervisedExample, dot_product, scale_and_add
 
 
@@ -32,6 +33,18 @@ def _squared_error_igd_chunk(
     alphas: np.ndarray,
     proximal: ProximalOperator,
 ) -> None:
+    if not native_igd_chunk("squared", model, batch, alphas, proximal):
+        task.python_igd_chunk(model, batch, alphas, proximal)
+
+
+def _squared_error_python_igd_chunk(
+    task: LinearModelTask,
+    model: Model,
+    batch: ExampleBatch,
+    alphas: np.ndarray,
+    proximal: ProximalOperator,
+) -> None:
+    """The exact-IGD row loop: the reference the native kernel matches."""
     w = model["w"]
     y = batch.y
     apply_proximal = not isinstance(proximal, IdentityProximal)
@@ -92,6 +105,7 @@ class OneDimensionalLeastSquares(LinearModelTask):
     # ------------------------------------------------- batched API (scalar x)
     batch_loss = _squared_error_batch_loss
     igd_chunk = _squared_error_igd_chunk
+    python_igd_chunk = _squared_error_python_igd_chunk
     minibatch_step = _squared_error_minibatch_step
 
 
@@ -115,6 +129,7 @@ class LinearRegressionTask(LinearModelTask):
     # ----------------------------------------------------------- batched API
     batch_loss = _squared_error_batch_loss
     igd_chunk = _squared_error_igd_chunk
+    python_igd_chunk = _squared_error_python_igd_chunk
     minibatch_step = _squared_error_minibatch_step
 
 

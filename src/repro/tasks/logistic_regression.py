@@ -20,6 +20,7 @@ import numpy as np
 
 from ..core.model import Model
 from ..core.proximal import IdentityProximal, L1Proximal, ProximalOperator
+from ..kernels import igd_chunk as native_igd_chunk
 from .base import ExampleBatch, LinearModelTask, SupervisedExample, dot_product, scale_and_add
 
 
@@ -116,6 +117,13 @@ class LogisticRegressionTask(LinearModelTask):
     def igd_chunk(
         self, model: Model, batch: ExampleBatch, alphas: np.ndarray, proximal: ProximalOperator
     ) -> None:
+        if not native_igd_chunk("logistic", model, batch, alphas, proximal):
+            self.python_igd_chunk(model, batch, alphas, proximal)
+
+    def python_igd_chunk(
+        self, model: Model, batch: ExampleBatch, alphas: np.ndarray, proximal: ProximalOperator
+    ) -> None:
+        """The exact-IGD row loop: the reference the native kernel matches."""
         w = model["w"]
         y = batch.y
         apply_proximal = not isinstance(proximal, IdentityProximal)
