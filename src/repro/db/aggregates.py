@@ -118,6 +118,39 @@ def merge_partial_states(instance: UserDefinedAggregate, states: "list[Any]") ->
     return instance.terminate(merged)
 
 
+def fold_chunks(instance: UserDefinedAggregate, batches: Iterable[Any]) -> Any:
+    """``initialize`` + ``transition_chunk`` over one partition's chunks.
+
+    Process workers and the serial reference runner share this fold, so a
+    partition's partial state is the same float computation wherever it runs.
+    """
+    state = instance.initialize()
+    for batch in batches:
+        state = instance.transition_chunk(state, batch)
+    return state
+
+
+def fold_rows(
+    instance: UserDefinedAggregate,
+    rows: "list[Row]",
+    ordinals: Iterable[int],
+    argument: Any,
+    functions: "dict[str, Callable]",
+) -> Any:
+    """``initialize`` + ``transition`` over one partition's raw rows.
+
+    For passes the chunk plane cannot serve: each row reaches ``transition``
+    whole (task-backed aggregates decode it) or as the evaluated ``argument``.
+    """
+    state = instance.initialize()
+    transition = instance.transition
+    wants_row = instance.wants_row or argument is None
+    for ordinal in ordinals:
+        row = rows[int(ordinal)]
+        state = transition(state, row if wants_row else argument.evaluate(row, functions))
+    return state
+
+
 class FunctionalAggregate(UserDefinedAggregate):
     """Build a UDA from plain callables (handy for tests and quick UDAs)."""
 

@@ -89,6 +89,14 @@ def resolve_ordinals(
     return np.where(order < 0, order + len(table), order)
 
 
+def can_gather(batches: list) -> bool:
+    """True when the batch type implements the ``take``/``concat`` gather kernels."""
+    if not batches:
+        return True
+    first = batches[0]
+    return hasattr(first, "take") and hasattr(type(first), "concat")
+
+
 def gather_batches(
     batches: list, ordinals: np.ndarray, chunk_size: int
 ) -> list | None:
@@ -111,9 +119,9 @@ def gather_batches(
     ordinals = np.asarray(ordinals, dtype=np.intp)
     if not batches:
         return [] if ordinals.size == 0 else None
-    first = batches[0]
-    if not hasattr(first, "take") or not hasattr(type(first), "concat"):
+    if not can_gather(batches):
         return None
+    first = batches[0]
     total = sum(len(batch) for batch in batches)
     ordinals = np.where(ordinals < 0, ordinals + total, ordinals)
     if ordinals.size and (int(ordinals.min()) < 0 or int(ordinals.max()) >= total):

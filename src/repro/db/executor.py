@@ -18,7 +18,13 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .aggregates import AggregateRegistry, UserDefinedAggregate, merge_partial_states
+from .aggregates import (
+    AggregateRegistry,
+    UserDefinedAggregate,
+    fold_chunks,
+    fold_rows,
+    merge_partial_states,
+)
 from .chunk_plan import ChunkPlan
 from .errors import ExecutionError
 from .expressions import Expression, FunctionCall, Star
@@ -330,11 +336,34 @@ class Executor:
         states = []
         for worker in range(width):
             self._charge_overhead(instance.state_passing_units)
-            state = instance.initialize()
-            for chunk_id in range(worker, len(batches), width):
-                state = instance.transition_chunk(state, batches[chunk_id])
-            states.append(state)
+            states.append(fold_chunks(instance, batches[worker::width]))
         return merge_partial_states(instance, states)
+
+    def partition_batches(
+        self, table: Table, instance: UserDefinedAggregate, execution: str = "auto"
+    ) -> list | None:
+        """The cached chunk list a partitioned pass gathers its parts from.
+
+        ``None`` (no decoding task, a task without batches, unbatchable
+        columns, no gather kernels) means partitions fold raw rows; under
+        ``execution="chunked"`` that raises instead.  The serial reference
+        runner and the process backend both choose here, so they agree.
+        """
+        from .chunk_plan import can_gather
+
+        batches = None
+        if instance.supports_chunks:
+            batches = self.example_cache.batches_for(
+                table, instance.chunk_decoder, self.chunk_size, dtype=self.compute_dtype
+            )
+        if batches is not None and can_gather(batches):
+            return batches
+        if execution == "chunked":
+            raise ExecutionError(
+                f"aggregate {type(instance).__name__} cannot run chunked over "
+                f"table {table.name!r} (unsupported aggregate, task or column types)"
+            )
+        return None
 
     def run_row_partitioned(
         self,
@@ -345,40 +374,36 @@ class Executor:
         where: Expression | None = None,
         row_order: Sequence[int] | None = None,
         argument: Expression | None = None,
+        execution: str = "auto",
     ) -> Any:
         """Serial reference for a row-partitioned mergeable pass.
 
         The visit ordinals (WHERE + row order composed exactly like the chunk
-        plane) split round-robin by position; each partition replays
-        per-example transitions over the cache-decoded examples (task-backed
-        aggregates) or per-row transitions over the heap (generic aggregates),
-        and the partials merge left-to-right.  This is the in-process
-        counterpart of the process backend's example/row partitioning: same
-        partitions, same float operations, same merge order — bit-for-bit.
+        plane) split round-robin by position; each partition gathers its
+        ordinals out of the cached chunk list and folds ``transition_chunk``,
+        or folds ``transition`` over raw rows when :meth:`partition_batches`
+        finds no chunk list; partials merge left-to-right.  Same partitions,
+        float operations and merge order as the process backend —
+        bit-for-bit.
         """
-        from .chunk_plan import resolve_ordinals, split_round_robin
+        from .chunk_plan import gather_batches, resolve_ordinals, split_round_robin
 
-        decoder = instance.chunk_decoder
         ordinals = resolve_ordinals(table, self.example_cache, self.functions, where, row_order)
         if ordinals is None:
             ordinals = np.arange(len(table), dtype=np.intp)
         width = max(1, min(workers, ordinals.shape[0]) if ordinals.shape[0] else 1)
-        if decoder is not None:
-            items: Sequence[Any] = self.example_cache.examples_for(table, decoder)
-        else:
-            items = table.to_rows()
+        batches = self.partition_batches(table, instance, execution)
+        rows = table.to_rows() if batches is None else None
         table.scan_count += 1
-        wants_row = instance.wants_row or argument is None
         states = []
         for part in split_round_robin(ordinals, width):
             self._charge_overhead(instance.state_passing_units)
-            state = instance.initialize()
-            for ordinal in part:
-                item = items[int(ordinal)]
-                if decoder is None and not wants_row:
-                    item = argument.evaluate(item, self.functions)
-                state = instance.transition(state, item)
-            states.append(state)
+            if batches is not None:
+                states.append(
+                    fold_chunks(instance, gather_batches(batches, part, self.chunk_size))
+                )
+            else:
+                states.append(fold_rows(instance, rows, part, argument, self.functions))
         return merge_partial_states(instance, states)
 
     def _run_aggregate_chunked(
@@ -424,12 +449,12 @@ class Executor:
         produce bit-for-bit the per-tuple models.
 
         ``backend`` selects who performs the pass: ``"in_process"`` (the
-        default) runs in this process; ``"process"`` fans a mergeable,
-        task-backed aggregate out over a :class:`ProcessWorkerPool` of real
-        OS workers (round-robin ordinal partitions, deterministic
-        left-to-right merge — bit-for-bit a segmented run with as many
-        segments as pool workers).  ``process_pool`` supplies the pool; if
-        omitted an ephemeral pool of one worker per core is used for the call.
+        default) runs in this process; ``"process"`` fans a mergeable
+        aggregate out over a :class:`ProcessWorkerPool` of real OS workers
+        (round-robin ordinal partitions, deterministic left-to-right merge —
+        bit-for-bit a segmented run with as many segments as pool workers).
+        ``process_pool`` supplies the pool; if omitted an ephemeral pool of
+        one worker per core is used for the call.
         """
         if execution not in ("per_tuple", "chunked", "auto"):
             raise ExecutionError(f"unknown execution mode {execution!r}")
@@ -445,9 +470,9 @@ class Executor:
         if backend == "process":
             if execution == "per_tuple":
                 raise ExecutionError(
-                    "the process backend ships cache-decoded examples and "
-                    "cannot replay the per-tuple engine protocol; pass "
-                    "execution='auto' or 'chunked' with backend='process'"
+                    "the process backend serves passes from the cached chunk "
+                    "plane and cannot replay the per-tuple engine protocol; "
+                    "pass execution='auto' or 'chunked' with backend='process'"
                 )
             from .process_backend import (
                 ProcessWorkerPool,

@@ -4,11 +4,16 @@ A :class:`SegmentedDatabase` wraps a catalog of tables that are round-robin
 partitioned across ``num_segments`` segments.  Aggregates that provide a
 ``merge`` function are executed independently on every segment and the partial
 states are merged before ``terminate`` — exactly the "pure UDA" parallelism of
-Section 3.3.  The per-segment work is performed sequentially in this process
-(the reproduction is single-process Python), but the engine records the
-per-segment tuple counts and charges the personality's model-passing cost per
-segment so the experiment harness can report both measured per-epoch times and
-modelled parallel speed-ups.
+Section 3.3.  One segment loop serves both backends: ``backend="in_process"``
+runs the segment passes one after another in this process, and
+``backend="process"`` runs each segment on its own worker of the master
+engine's :class:`~repro.db.process_backend.ProcessWorkerPool`.  Either way each
+segment folds its own cached chunks (or raw rows, where the chunk plane cannot
+serve the pass) and the partials merge left-to-right through
+:func:`~repro.db.aggregates.merge_partial_states`, so the two backends return
+bit-for-bit the same value.  The engine records per-segment tuple counts and
+charges the personality's model-passing cost per segment so the experiment
+harness can report both measured per-epoch times and modelled speed-ups.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .aggregates import UserDefinedAggregate
-from .chunk_plan import ChunkPlan
+from .aggregates import UserDefinedAggregate, merge_partial_states
+from .chunk_plan import resolve_ordinals
 from .engine import DBMS_B, Database, EnginePersonality
-from .errors import ExecutionError, UnknownTableError
+from .errors import ExecutionError, UnknownTableError, WorkerDiedError
 from .expressions import Expression
 from .table import Table
 from .types import ColumnType, Schema
@@ -243,10 +248,13 @@ class SegmentedDatabase:
         ``backend`` selects who runs the per-segment work: ``"in_process"``
         (the default) performs the segment passes sequentially in this
         process; ``"process"`` runs each segment in its own OS worker from
-        the master engine's persistent pool.  The partitioning, per-example
-        float operations and left-to-right merge are identical, so for a
-        fixed seed and segment count the two backends produce **bit-for-bit
-        the same model** — the pure-UDA determinism contract.
+        the master engine's persistent pool, where it gathers the segment's
+        visit order out of the segment's cached chunk list (or folds raw
+        rows when the chunk plane cannot serve the aggregate; ``"per_tuple"``
+        is refused).  The partitioning, per-chunk float operations and
+        left-to-right merge are identical, so for a fixed seed and segment
+        count the two backends produce **bit-for-bit the same model** — the
+        pure-UDA determinism contract.
         """
         if execution not in ("per_tuple", "chunked", "auto"):
             raise ExecutionError(f"unknown execution mode {execution!r}")
@@ -254,16 +262,6 @@ class SegmentedDatabase:
             raise ExecutionError(f"unknown execution backend {backend!r}")
         segments = self.segments_of(table_name)
         probe = aggregate_factory()
-        if backend == "process" and probe.supports_merge and self.num_segments > 1:
-            if execution == "per_tuple":
-                raise ExecutionError(
-                    "the process backend ships cache-decoded examples and "
-                    "cannot replay the per-tuple engine protocol; use the "
-                    "in-process backend for per-tuple runs"
-                )
-            return self._run_parallel_aggregate_process(
-                segments, aggregate_factory, where, segment_row_orders
-            )
         if not probe.supports_merge or self.num_segments == 1:
             # The single-segment layout matches the master copy row for row,
             # so its visit order applies directly; multi-segment orders are
@@ -287,87 +285,60 @@ class SegmentedDatabase:
                 num_segments=1,
                 merges=0,
             )
-
-        partial_states: list[Any] = []
-        instances: list[UserDefinedAggregate] = []
-        per_segment_tuples: list[int] = []
-        for index, segment in enumerate(segments):
-            instance = aggregate_factory()
-            order = None
-            if segment_row_orders is not None:
-                order = segment_row_orders[index]
-            state = self._run_segment(instance, segment, argument, where, order, execution)
-            instances.append(instance)
-            partial_states.append(state)
-            per_segment_tuples.append(len(segment))
-
-        merged = partial_states[0]
-        merges = 0
-        for state in partial_states[1:]:
-            merged = instances[0].merge(merged, state)
-            merges += 1
-        value = instances[0].terminate(merged)
-        return ParallelAggregateResult(
-            value=value,
-            per_segment_tuples=per_segment_tuples,
-            num_segments=len(segments),
-            merges=merges,
-        )
-
-    def _run_parallel_aggregate_process(
-        self,
-        segments: list[Table],
-        aggregate_factory: Callable[[], UserDefinedAggregate],
-        where: Expression | None,
-        segment_row_orders: Sequence[Sequence[int]] | None,
-    ) -> ParallelAggregateResult:
-        """Segment passes on real OS workers: one worker per segment.
-
-        Each worker receives its segment's cache-decoded examples (pickled
-        once per table version) and runs the plain ``initialize``/
-        ``transition`` protocol over them; the parent merges the partial
-        states left-to-right exactly like the in-process path, so the result
-        is bit-for-bit identical for a fixed seed and segment count.
-        """
-        from .chunk_plan import resolve_ordinals
-        from .process_backend import run_partitioned_uda
-
-        executor = self.master.executor
-        pool = self.master.process_pool(len(segments))
-        instances: list[UserDefinedAggregate] = []
-        parts = []
-        per_segment_tuples: list[int] = []
-        for index, segment in enumerate(segments):
-            instance = aggregate_factory()
-            order = segment_row_orders[index] if segment_row_orders is not None else None
-            ordinals = resolve_ordinals(
-                segment, executor.example_cache, executor.functions, where, order
+        if backend == "process" and execution == "per_tuple":
+            raise ExecutionError(
+                "the process backend serves segments from the cached chunk "
+                "plane and cannot replay the per-tuple engine protocol; use "
+                "the in-process backend for per-tuple runs"
             )
-            segment.scan_count += 1
-            executor._charge_overhead(instance.state_passing_units)
-            instances.append(instance)
-            parts.append((segment, instance, ordinals))
-            per_segment_tuples.append(len(segment))
-        partial_states = run_partitioned_uda(pool, parts, executor.example_cache)
+        if isinstance(argument, str):
+            from .expressions import ColumnRef
 
-        merged = partial_states[0]
-        merges = 0
-        for state in partial_states[1:]:
-            merged = instances[0].merge(merged, state)
-            merges += 1
-        value = instances[0].terminate(merged)
+            argument = ColumnRef(argument)
+        executor = self.master.executor
+        instances = [aggregate_factory() for _ in segments]
+        states: list[Any] = []
+        parts = []
+        for index, (segment, instance) in enumerate(zip(segments, instances)):
+            order = segment_row_orders[index] if segment_row_orders is not None else None
+            if backend == "process":
+                ordinals = resolve_ordinals(
+                    segment, executor.example_cache, executor.functions, where, order
+                )
+                segment.scan_count += 1
+                executor._charge_overhead(instance.state_passing_units)
+                parts.append((segment, instance, ordinals))
+            else:
+                states.append(
+                    self._run_segment(instance, segment, argument, where, order, execution)
+                )
+        if parts:
+            from .process_backend import run_partitioned_uda
+
+            while True:
+                try:
+                    states = run_partitioned_uda(
+                        executor, self.master.process_pool(len(segments)), parts,
+                        argument=argument, execution=execution,
+                    )
+                    break
+                except WorkerDiedError as error:
+                    # A supervised pool has respawned its casualties and
+                    # replayed their payloads; the deterministic pass re-runs.
+                    if not error.recoverable:
+                        raise
         return ParallelAggregateResult(
-            value=value,
-            per_segment_tuples=per_segment_tuples,
+            value=merge_partial_states(instances[0], states),
+            per_segment_tuples=[len(segment) for segment in segments],
             num_segments=len(segments),
-            merges=merges,
+            merges=len(states) - 1,
         )
 
     def _run_segment(
         self,
         instance: UserDefinedAggregate,
         segment: Table,
-        argument: Expression | str | None,
+        argument: Expression | None,
         where: Expression | None,
         row_order: Sequence[int] | None,
         execution: str = "auto",
@@ -393,14 +364,6 @@ class SegmentedDatabase:
                     f"aggregate {type(instance).__name__} cannot run chunked over "
                     f"segment {segment.name!r} (unsupported aggregate, task or column types)"
                 )
-        argument_expression: Expression | None
-        if isinstance(argument, str):
-            from .expressions import ColumnRef
-
-            argument_expression = ColumnRef(argument)
-        else:
-            argument_expression = argument
-
         state = instance.initialize()
         if row_order is None:
             rows = segment.scan()
@@ -412,10 +375,10 @@ class SegmentedDatabase:
             if where is not None and not bool(where.evaluate(row, executor.functions)):
                 continue
             executor._charge_overhead(instance.state_passing_units)
-            if instance.wants_row or argument_expression is None:
+            if instance.wants_row or argument is None:
                 value: Any = row
             else:
-                value = argument_expression.evaluate(row, executor.functions)
+                value = argument.evaluate(row, executor.functions)
             state = instance.transition(state, value)
         return state
 

@@ -29,10 +29,13 @@ Merge contract (what makes plans backend-portable):
 * **chunk-partitioned** plans additionally require the aggregate to declare
   ``chunk_partitionable`` (scalar reductions: loss, accuracy): whole cached
   chunks are dealt round-robin to workers and consumed vectorized;
-* order-sensitive aggregates (IGD) partition by **example ordinal** —
-  round-robin over the composed WHERE + row-order visit sequence, the same
-  layout the segmented engine gives shared-nothing segments;
-* aggregates without a decoding task partition by **raw row** and ship the
+* every other mergeable pass (IGD epochs, filtered or ordered scalar
+  passes) partitions its visit ordinals — round-robin over the composed
+  WHERE + row-order sequence, the same layout the segmented engine gives
+  shared-nothing segments — and each partition **gathers its ordinals out of
+  the cached chunk list** and folds ``transition_chunk``;
+* passes the chunk plane cannot serve (no decoding task, a task without
+  batches, unbatchable columns) fold **raw rows** instead, shipping the
   picklable argument expression (plus any scalar UDFs it references).
 """
 
@@ -275,12 +278,12 @@ class SerialBackend(ExecutionBackend):
             return model, _steps_taken(model, context.step_offset, len(plan.table))
         if plan.workers > 1 and plan.mergeable and plan.execution != "per_tuple":
             instance = plan.factory()
-            wants_chunks = (
-                getattr(instance, "chunk_partitionable", False)
+            if (
+                instance.chunk_partitionable
+                and instance.supports_chunks
                 and plan.where is None
                 and plan.row_order is None
-            )
-            if wants_chunks and instance.supports_chunks:
+            ):
                 from .executor import _CHUNKS_UNSUPPORTED
 
                 outcome = executor.run_chunk_partitioned(
@@ -288,17 +291,6 @@ class SerialBackend(ExecutionBackend):
                 )
                 if outcome is not _CHUNKS_UNSUPPORTED:
                     return outcome
-            if plan.execution == "chunked" and (
-                wants_chunks or instance.chunk_decoder is None
-            ):
-                # Same contract as the single-pass executor and the process
-                # backend: an explicit "chunked" request errors instead of
-                # silently degrading to per-item transitions.
-                raise ExecutionError(
-                    f"aggregate {type(instance).__name__} cannot run chunked over "
-                    f"table {plan.table.name!r} (unsupported aggregate, task or "
-                    "column types)"
-                )
             return executor.run_row_partitioned(
                 plan.table,
                 instance,
@@ -306,6 +298,7 @@ class SerialBackend(ExecutionBackend):
                 where=plan.where,
                 row_order=plan.row_order,
                 argument=plan.argument,
+                execution=plan.execution,
             )
         return executor.run_aggregate(
             plan.table,
@@ -367,13 +360,14 @@ class SegmentedBackend(ExecutionBackend):
         self.process = process
 
     def run(self, plan: PassPlan) -> Any:
-        """Run the plan; process-backed segment runs retry and degrade.
+        """Run the plan; process-backed segment runs degrade.
 
         Pure-UDA segment passes are deterministic (shared-nothing partitions,
         left-to-right merge), so after a supervised pool respawns its
-        casualties the pass simply re-runs bit-for-bit; once the respawn
-        budget is exhausted, the run degrades to the in-process segmented
-        engine — the same partitions on one core — with a DegradationEvent.
+        casualties the segmented engine simply re-runs the pass bit-for-bit;
+        once the respawn budget is exhausted, the run degrades to the
+        in-process segmented engine — the same partitions on one core — with
+        a DegradationEvent.
         """
         if not self.process:
             return self._run(plan, "in_process")
@@ -382,14 +376,11 @@ class SegmentedBackend(ExecutionBackend):
             return self._degrade(
                 plan, reason="process backend degraded earlier in this run"
             )
-        while True:
-            try:
-                return self._run(plan, "process")
-            except WorkerDiedError as error:
-                if error.recoverable:
-                    continue
-                engine.mark_process_degraded()
-                return self._degrade(plan, reason=str(error))
+        try:
+            return self._run(plan, "process")
+        except WorkerDiedError as error:
+            engine.mark_process_degraded()
+            return self._degrade(plan, reason=str(error))
 
     def _degrade(self, plan: PassPlan, *, reason: str) -> Any:
         from .supervisor import DegradationEvent
@@ -406,6 +397,10 @@ class SegmentedBackend(ExecutionBackend):
 
     def _run(self, plan: PassPlan, backend: str) -> Any:
         plan.check_version()
+        with _pass_compute_dtype(_engine_of(self.database).executor, plan):
+            return self._run_segments(plan, backend)
+
+    def _run_segments(self, plan: PassPlan, backend: str) -> Any:
         if plan.kind == "train":
             context = plan.train
             outcome = self.database.run_parallel_aggregate(
@@ -433,8 +428,9 @@ class ProcessBackend(ExecutionBackend):
 
     Train plans with a shared-memory spec race real OS workers on the
     mmap-shared model; every other plan fans out over the pool with the
-    partition strategy the plan's merge contract picks (chunks, examples or
-    raw rows) and merges partials left-to-right — bit-for-bit the
+    partition strategy the plan's merge contract picks (whole chunks,
+    gathered chunk parts or raw rows) and merges partials left-to-right —
+    bit-for-bit the
     :class:`SerialBackend` reference of the same plan.
 
     Self-healing: the engine's pools are supervised, so worker death or a

@@ -13,17 +13,24 @@ Architecture:
   processes connected by pipes.  Workers are long-lived so per-epoch cost is
   one small message per worker, not a process spawn; the publication lock is
   created *before* the fork so every worker inherits the same OS semaphore.
-* **Pickled-once chunk payloads** — the decoded example list for a (table,
-  version) is resolved through the shared
-  :class:`~repro.tasks.base.ExampleCache` (the chunk plane's decode-once
-  contract), pickled once, and shipped to each worker, which caches it by
-  key.  Subsequent epochs send only ordinal arrays — a logical shuffle never
-  re-ships a single example.
+* **Shipped-once payloads** — a table's cached columnar chunk list (the
+  :class:`~repro.tasks.base.ExampleCache` decode-once contract) or, where the
+  chunk plane cannot serve a pass, its raw row block (shared-memory epochs:
+  its decoded example list) is encoded once per table version and shipped
+  to each worker, which caches it by key; appends ship only a delta.
+  Subsequent passes send only ordinal arrays — a logical shuffle never
+  re-ships a single row.
+* **Partition strategies** — mergeable passes run one of three: *whole
+  chunks* (whole-table scalar reductions such as loss and accuracy deal
+  cached chunks round-robin), *gathered chunk parts* (every other pass the
+  chunk plane serves: a worker gathers its part's ordinals out of the
+  resident chunk list and folds ``transition_chunk``), or *raw rows*
+  (everything else: a worker folds ``transition`` over its part's rows).
 * **Round-robin range assignment** —
-  :func:`~repro.db.chunk_plan.partition_round_robin` is the partitioning
+  :func:`~repro.db.chunk_plan.split_round_robin` is the partitioning
   contract shared with the in-process backends, which is what makes the
   pure-UDA process path *bit-for-bit identical* to the in-process segmented
-  engine: same partitions, same per-example float operations, same
+  engine: same partitions, same per-chunk float operations, same
   left-to-right merge.
 * **Shared-memory epochs** — each worker attaches to the model segment's OS
   name and publishes per-staleness-batch deltas: racy in-place adds
@@ -51,8 +58,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .aggregates import merge_partial_states
-from .chunk_plan import resolve_ordinals, split_round_robin
+from .aggregates import fold_chunks, fold_rows, merge_partial_states
+from .chunk_plan import gather_batches, resolve_ordinals, split_round_robin
 from .errors import EnvSpecError, ExecutionError, WorkerDiedError
 from .fault import FaultInjector, FaultPlan
 from .shared_memory import (
@@ -292,18 +299,17 @@ def _run_shmem_epoch(payloads: dict, lock, params: Mapping[str, Any]) -> int:
 
 
 def _run_uda_state(payloads: dict, msg: tuple) -> Any:
-    """initialize + transition over this worker's assigned example ordinals."""
+    """Fold ``transition_chunk`` over this worker's part of a cached chunk list.
+
+    ``ordinals`` are gathered into chunks exactly like the in-process chunk
+    plane (``None`` folds every chunk); no row is decoded here.
+    """
     _, key, instance, ordinals = msg
-    examples, _task = payloads[key]
-    state = instance.initialize()
-    transition = instance.transition
-    if ordinals is None:
-        for example in examples:
-            state = transition(state, example)
-    else:
-        for ordinal in ordinals:
-            state = transition(state, examples[int(ordinal)])
-    return state
+    batches = payloads[key]
+    if ordinals is not None:
+        chunk_size = key[4]  # batches_payload_key carries the chunk size
+        batches = gather_batches(batches, ordinals, chunk_size)
+    return fold_chunks(instance, batches)
 
 
 def _run_chunk_uda_state(payloads: dict, msg: tuple) -> Any:
@@ -315,30 +321,20 @@ def _run_chunk_uda_state(payloads: dict, msg: tuple) -> Any:
     """
     _, key, instance, chunk_ids = msg
     batches = payloads[key]
-    state = instance.initialize()
-    for chunk_id in chunk_ids:
-        state = instance.transition_chunk(state, batches[int(chunk_id)])
-    return state
+    return fold_chunks(instance, (batches[int(chunk_id)] for chunk_id in chunk_ids))
 
 
 def _run_generic_uda_state(payloads: dict, msg: tuple) -> Any:
-    """initialize + transition over raw rows for a generic (non-task) aggregate.
+    """initialize + transition over raw rows, for passes the chunk plane cannot serve.
 
     The payload is the table's raw row block; the message ships the pickled
     aggregate instance, the argument expression and any scalar UDFs it
     references, so built-in SQL aggregates (SUM/AVG/STDDEV/...) parallelise
-    without a decoding task.
+    without a decoding task, and task-backed aggregates decode each row in
+    their own ``transition``.
     """
     _, key, instance, argument, ordinals, functions = msg
-    rows = payloads[key]
-    state = instance.initialize()
-    transition = instance.transition
-    wants_row = instance.wants_row or argument is None
-    for ordinal in ordinals:
-        row = rows[int(ordinal)]
-        value = row if wants_row else argument.evaluate(row, functions)
-        state = transition(state, value)
-    return state
+    return fold_rows(instance, payloads[key], ordinals, argument, functions)
 
 
 def _apply_extend(payloads: dict, key: tuple, mode: str, delta: Any) -> None:
@@ -950,50 +946,104 @@ def examples_delta_builder(
 # ---------------------------------------------------------------------------
 # Partitioned mergeable UDA (pure-UDA parallelism / Executor backend)
 # ---------------------------------------------------------------------------
+def _load_batches(
+    pool: ProcessWorkerPool,
+    workers: Iterable[int],
+    table: Table,
+    decoder: Any,
+    batches: list,
+    chunk_size: int,
+    dtype: str,
+) -> tuple:
+    """Make ``table``'s cached chunk list resident on ``workers``; returns its key.
+
+    Shipped once per table version; an append ships only the re-chunked tail
+    from the first chunk it touched (``batches_tail``).
+    """
+
+    def extend_batches(from_version: int) -> "tuple[str, Any] | None":
+        delta = table.classify_delta(from_version)
+        if not delta.is_append:
+            return None
+        # The first chunk the append touched: the resident partial tail (if
+        # any) plus every chunk after it are replaced with the re-chunked
+        # tail of the extended plan.
+        start = delta.base_rows // chunk_size
+        return ("batches_tail", (start, batches[start:]))
+
+    key = batches_payload_key(table, decoder, chunk_size, dtype)
+    pool.ensure_loaded(
+        workers, key, lambda: batches, pin=(table, decoder),
+        version=table.version, extend=extend_batches,
+    )
+    return key
+
+
+def _load_rows(pool: ProcessWorkerPool, workers: Iterable[int], table: Table) -> tuple:
+    """Make ``table``'s raw row block resident on ``workers``; returns its key."""
+
+    def extend_rows(from_version: int) -> "tuple[str, Any] | None":
+        delta = table.classify_delta(from_version)
+        if not delta.is_append:
+            return None
+        from .types import Row
+
+        schema = table.schema
+        new_rows = [Row(schema, values) for values in table.tail_values(delta.base_rows)]
+        if len(new_rows) != delta.rows_added:
+            return None
+        return ("list_extend", (delta.base_rows, new_rows))
+
+    key = rows_payload_key(table)
+    pool.ensure_loaded(
+        workers, key, table.to_rows, pin=table,
+        version=table.version, extend=extend_rows,
+    )
+    return key
+
+
 def run_partitioned_uda(
+    executor: "Executor",
     pool: ProcessWorkerPool,
     parts: "Sequence[tuple[Table, UserDefinedAggregate, np.ndarray | None]]",
-    cache: "ExampleCache",
+    *,
+    argument=None,
+    execution: str = "auto",
 ) -> list:
-    """Run one UDA instance per (table, ordinals) part, one part per worker.
+    """Run one UDA instance per (table, instance, ordinals) part, one part per worker.
 
-    Returns the raw per-part states in part order (the caller merges).  Each
-    part's decoded examples are resolved through the shared example cache and
-    shipped pickled-once; the per-part computation is the plain per-tuple
-    ``initialize``/``transition`` protocol, which the parity suite pins as
-    bit-for-bit identical to the in-process chunked kernels.
+    Returns the raw per-part states in part order (the caller merges).
+    ``ordinals`` selects and orders the part's rows (``None``: every row in
+    heap order).  :meth:`Executor.partition_batches` picks each part's
+    strategy, as for the serial reference runner: **gathered chunk parts**
+    (the worker gathers the ordinals out of the resident chunk list and folds
+    ``transition_chunk``) or **raw rows** (it folds ``transition`` over the
+    resident row block, with the argument expression and its scalar UDFs).
     """
     if len(parts) > pool.workers:
         raise ExecutionError(
             f"{len(parts)} partitions need at least as many pool workers "
             f"(pool has {pool.workers})"
         )
-    # Group workers by payload key so each payload is built and pickled once
-    # per key, no matter how many workers share it (every partition of one
-    # table shares one key; segmented runs have one key per segment).
+    functions: dict[str, Callable] = {}
+    if argument is not None:
+        for name in sorted(argument.referenced_functions()):
+            if name in executor.functions:
+                functions[name] = executor.functions[name]
     messages: dict[int, tuple] = {}
-    workers_by_key: dict[tuple, list[int]] = {}
-    builders: dict[tuple, tuple] = {}
     for worker, (table, instance, ordinals) in enumerate(parts):
-        decoder = instance.chunk_decoder
-        if decoder is None:
-            raise ExecutionError(
-                f"aggregate {type(instance).__name__} exposes no decoding task; "
-                "the process backend ships task-decoded examples"
+        batches = executor.partition_batches(table, instance, execution)
+        if batches is not None:
+            key = _load_batches(
+                pool, [worker], table, instance.chunk_decoder, batches,
+                executor.chunk_size, executor.compute_dtype,
             )
-        key = payload_key(table, decoder)
-        workers_by_key.setdefault(key, []).append(worker)
-        builders[key] = (table, decoder)
-        messages[worker] = ("uda_state", key, instance, ordinals)
-    for key, workers in workers_by_key.items():
-        table, decoder = builders[key]
-        pool.ensure_loaded(
-            workers, key,
-            lambda table=table, decoder=decoder: (cache.examples_for(table, decoder), decoder),
-            pin=(table, decoder),
-            version=table.version,
-            extend=examples_delta_builder(table, decoder, cache),
-        )
+            messages[worker] = ("uda_state", key, instance, ordinals)
+        else:
+            if ordinals is None:
+                ordinals = np.arange(len(table), dtype=np.intp)
+            key = _load_rows(pool, [worker], table)
+            messages[worker] = ("generic_uda", key, instance, argument, ordinals, functions)
     states = pool.run(messages)
     return [states[worker] for worker in sorted(states)]
 
@@ -1019,48 +1069,29 @@ def run_process_aggregate(
     below the pool size (a compiled :class:`~repro.db.pass_plan.PassPlan`
     carries the requested width).
 
-    Three partition strategies, chosen by the aggregate's contract:
-
-    * **chunk-partitioned** — scalar reductions that declare
-      ``chunk_partitionable`` (loss, accuracy) ship the cached columnar chunk
-      list once per table version and fan whole chunks out to workers, so the
-      per-worker kernel stays vectorized;
-    * **example-partitioned** — order-sensitive task-backed aggregates (IGD)
-      ship cache-decoded examples and replay per-example transitions;
-    * **generic rows** — aggregates without a decoding task (built-in SQL
-      aggregates) ship the raw row block plus the picklable argument
-      expression and any scalar UDFs it references.
+    Whole-table scalar reductions that declare ``chunk_partitionable`` (loss,
+    accuracy) deal **whole cached chunks** to workers
+    (:func:`run_process_chunk_aggregate`).  Every other pass splits its visit
+    ordinals round-robin and runs the parts through
+    :func:`run_partitioned_uda`: **gathered chunk parts** where the chunk
+    plane serves the pass, **raw rows** where it does not.
     """
     if not instance.supports_merge:
         raise ExecutionError(
             f"aggregate {type(instance).__name__} does not support merge; "
             "the process backend requires an algebraic (mergeable) aggregate"
         )
-    wants_chunks = (
-        instance.chunk_partitionable and where is None and row_order is None
-    )
-    if wants_chunks and instance.supports_chunks:
+    if (
+        instance.chunk_partitionable
+        and instance.supports_chunks
+        and where is None
+        and row_order is None
+    ):
         outcome = run_process_chunk_aggregate(
             executor, table, instance, pool=pool, workers=workers
         )
         if outcome is not _NO_CHUNK_PLAN:
             return outcome
-    if execution == "chunked" and (wants_chunks or instance.chunk_decoder is None):
-        # Match the serial contract: an explicit "chunked" request errors
-        # instead of silently degrading when the vectorized path is
-        # unavailable.  (Filtered/ordered scalar passes and order-sensitive
-        # task-backed aggregates are *served by the chunk plane* through
-        # cache-decoded examples and resolved ordinals, so they are not a
-        # degradation and run under "chunked" as before.)
-        raise ExecutionError(
-            f"aggregate {type(instance).__name__} cannot run chunked over "
-            f"table {table.name!r} (unsupported aggregate, task or column types)"
-        )
-    if instance.chunk_decoder is None:
-        return run_process_generic_aggregate(
-            executor, table, instance, pool=pool,
-            where=where, row_order=row_order, workers=workers, argument=argument,
-        )
     ordinals = resolve_ordinals(table, executor.example_cache, executor.functions, where, row_order)
     if ordinals is None:
         ordinals = np.arange(len(table), dtype=np.intp)
@@ -1072,7 +1103,9 @@ def run_process_aggregate(
         # partition_round_robin assignment: ordinal position i -> worker i % w.
         executor._charge_overhead(instance.state_passing_units)
         parts.append((table, instance, part))
-    states = run_partitioned_uda(pool, parts, executor.example_cache)
+    states = run_partitioned_uda(
+        executor, pool, parts, argument=argument, execution=execution
+    )
     return merge_partial_states(instance, states)
 
 
@@ -1096,38 +1129,20 @@ def run_process_chunk_aggregate(
     """Chunk-partitioned scalar pass: whole cached chunks fan out to workers.
 
     The cached columnar chunk list is shipped pickled-once per table version
-    (a separate payload from the decoded example list the gradient pass
-    ships); per-epoch messages carry chunk ordinals only.  Worker ``w`` runs
-    ``transition_chunk`` over chunks ``w::width`` in ascending order and the
-    parent merges the scalar partials left-to-right — bit-for-bit the serial
-    reference runner (:meth:`Executor.run_chunk_partitioned`) on the same
-    width.
+    (the same payload the gathered-part passes use); per-epoch messages carry
+    chunk ordinals only.  Worker ``w`` runs ``transition_chunk`` over chunks
+    ``w::width`` in ascending order and the parent merges the scalar partials
+    left-to-right — bit-for-bit the serial reference runner
+    (:meth:`Executor.run_chunk_partitioned`) on the same width.
     """
     plan = executor.chunk_plan(table, instance)
     if plan is None:
         return _NO_CHUNK_PLAN
     batches = plan.batches
     width = _effective_workers(pool, workers, len(batches))
-    compute_dtype = getattr(executor, "compute_dtype", "float64")
-    key = batches_payload_key(
-        table, instance.chunk_decoder, executor.chunk_size, compute_dtype
-    )
-    chunk_size = executor.chunk_size
-
-    def extend_batches(from_version: int) -> "tuple[str, Any] | None":
-        delta = table.classify_delta(from_version)
-        if not delta.is_append:
-            return None
-        # The first chunk the append touched: the resident partial tail (if
-        # any) plus every chunk after it are replaced with the re-chunked
-        # tail of the extended plan.
-        start = delta.base_rows // chunk_size
-        return ("batches_tail", (start, batches[start:]))
-
-    pool.ensure_loaded(
-        range(width), key, lambda: batches,
-        pin=(table, instance.chunk_decoder),
-        version=table.version, extend=extend_batches,
+    key = _load_batches(
+        pool, range(width), table, instance.chunk_decoder, batches,
+        executor.chunk_size, executor.compute_dtype,
     )
     table.scan_count += 1
     messages: dict[int, tuple] = {}
@@ -1136,63 +1151,6 @@ def run_process_chunk_aggregate(
         messages[worker] = (
             "chunk_uda", key, instance, np.arange(worker, len(batches), width, dtype=np.intp)
         )
-    states = pool.run(messages)
-    return merge_partial_states(instance, [states[worker] for worker in sorted(states)])
-
-
-def run_process_generic_aggregate(
-    executor: "Executor",
-    table: Table,
-    instance: "UserDefinedAggregate",
-    *,
-    pool: ProcessWorkerPool,
-    where=None,
-    row_order: Sequence[int] | None = None,
-    workers: int | None = None,
-    argument=None,
-) -> Any:
-    """Generic (non-task) mergeable aggregate over raw row blocks.
-
-    The table's rows are shipped pickled-once per table version; WHERE is
-    resolved parent-side through the cached selection vector, so workers
-    receive plain visit-ordinal arrays plus the argument expression and the
-    scalar UDFs it references (which must be picklable — module-level
-    functions, not lambdas).  Merge is deterministic left-to-right, so for a
-    fixed width the result is bit-for-bit the serial reference runner
-    (:meth:`Executor.run_row_partitioned`).
-    """
-    ordinals = resolve_ordinals(table, executor.example_cache, executor.functions, where, row_order)
-    if ordinals is None:
-        ordinals = np.arange(len(table), dtype=np.intp)
-    width = _effective_workers(pool, workers, ordinals.shape[0])
-    functions: dict[str, Callable] = {}
-    if argument is not None:
-        for name in sorted(argument.referenced_functions()):
-            if name in executor.functions:
-                functions[name] = executor.functions[name]
-    key = rows_payload_key(table)
-
-    def extend_rows(from_version: int) -> "tuple[str, Any] | None":
-        delta = table.classify_delta(from_version)
-        if not delta.is_append:
-            return None
-        from .types import Row
-
-        schema = table.schema
-        new_rows = [Row(schema, values) for values in table.tail_values(delta.base_rows)]
-        if len(new_rows) != delta.rows_added:
-            return None
-        return ("list_extend", (delta.base_rows, new_rows))
-
-    pool.ensure_loaded(
-        range(width), key, table.to_rows, pin=table,
-        version=table.version, extend=extend_rows,
-    )
-    table.scan_count += 1
-    messages: dict[int, tuple] = {}
-    for worker, part in enumerate(split_round_robin(ordinals, width)):
-        executor._charge_overhead(instance.state_passing_units)
-        messages[worker] = ("generic_uda", key, instance, argument, part, functions)
     states = pool.run(messages)
     return merge_partial_states(instance, [states[worker] for worker in sorted(states)])
 
